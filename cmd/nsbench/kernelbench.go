@@ -14,7 +14,8 @@ import (
 )
 
 // The kernel benchmark mode (-kernel-bench): time the naive and tiled
-// GEMM/conv kernels over the workload suite's real operator shapes, place
+// GEMM/GEMV/conv kernels over the workload suite's real operator shapes
+// (for GEMV, "tiled" is the multi-row kernel), place
 // the achieved FLOP/s of each against the modeled devices' rooflines, and
 // write the table as JSON (the checked-in BENCH_kernels.json). This is the
 // measurement behind the dispatch-table thresholds in
@@ -23,8 +24,8 @@ import (
 // kernelBenchRow is one (shape, kernel) measurement.
 type kernelBenchRow struct {
 	Name           string  `json:"name"`
-	Op             string  `json:"op"`     // "gemm" or "conv2d"
-	Kernel         string  `json:"kernel"` // "naive" or "tiled"
+	Op             string  `json:"op"`     // "gemm", "gemv" or "conv2d"
+	Kernel         string  `json:"kernel"` // "naive" or "tiled" (multi-row for gemv)
 	AutoPick       string  `json:"auto_pick"`
 	Reps           int     `json:"reps"`
 	NsPerOp        int64   `json:"ns_per_op"`
@@ -101,6 +102,18 @@ var kernelGemmShapes = []struct {
 	{"gemm-nvsa-codebook-1x8x4096", 1, 8, 4096},
 }
 
+// kernelGemvShapes: the suite's real GEMV shapes (NVSA's joint-codebook
+// cleanup, VSAIT's LSH projection, dim × in) plus one m < 4 shape below
+// the multi-row floor, where every row is a single-row leftover.
+var kernelGemvShapes = []struct {
+	name string
+	m, k int
+}{
+	{"gemv-nvsa-cleanup-2700x4096", 2700, 4096},
+	{"gemv-vsait-lsh-8192x16", 8192, 16},
+	{"gemv-floor-3x4096", 3, 4096},
+}
+
 // kernelConvShapes: the suite's real conv shapes (NVSA CNN frontend,
 // VSAIT translator layers), all 3×3 stride-1 pad-1 at 32×32.
 var kernelConvShapes = []struct {
@@ -150,7 +163,7 @@ func runKernelBench(path string) error {
 	}
 
 	w := bufio.NewWriter(os.Stdout)
-	fmt.Fprintln(w, "Kernel benchmarks — naive vs tiled over the workload suite's operator shapes")
+	fmt.Fprintln(w, "Kernel benchmarks — naive vs tiled (multi-row for GEMV) over the workload suite's operator shapes")
 	fmt.Fprintf(w, "%-30s %5s %14s %14s %9s %10s %8s\n",
 		"shape", "auto", "naive ns/op", "tiled ns/op", "speedup", "GFLOP/s", "Xeon%")
 	for _, s := range kernelGemmShapes {
@@ -161,6 +174,17 @@ func runKernelBench(path string) error {
 		auto := tensor.GemmKernelFor(s.m, s.k, s.n).String()
 		per := bench(s.name, "gemm", auto, flops, bytes, func(k tensor.Kernel) {
 			tensor.MatMulKernelOn(tensor.Serial, k, a, b)
+		})
+		printKernelRow(w, s.name, auto, per, flops, bytes)
+	}
+	for _, s := range kernelGemvShapes {
+		g := tensor.NewRNG(3)
+		a, x := g.Normal(0, 1, s.m, s.k), g.Normal(0, 1, s.k)
+		flops := tensor.FlopsMatMul(s.m, s.k, 1)
+		bytes := tensor.BytesMatMul(s.m, s.k, 1)
+		auto := tensor.GemvKernelFor(s.m, s.k).String()
+		per := bench(s.name, "gemv", auto, flops, bytes, func(k tensor.Kernel) {
+			tensor.MatVecKernelOn(tensor.Serial, k, a, x)
 		})
 		printKernelRow(w, s.name, auto, per, flops, bytes)
 	}
@@ -181,7 +205,7 @@ func runKernelBench(path string) error {
 	w.Flush()
 
 	doc := kernelBenchFile{
-		Description: "Naive-vs-tiled kernel benchmarks with roofline placement against the paper's device models. Regenerate with: go run ./cmd/nsbench -kernel-bench BENCH_kernels.json",
+		Description: "Naive-vs-tiled kernel benchmarks with roofline placement against the paper's device models; for gemv rows, tiled is the multi-row GEMV. Regenerate with: go run ./cmd/nsbench -kernel-bench BENCH_kernels.json",
 		Generated:   time.Now().Format("2006-01-02"),
 		Go:          runtime.Version(),
 		GOOS:        runtime.GOOS,

@@ -33,7 +33,7 @@ func main() {
 	metricsOut := flag.String("metrics", "", "dump runtime/pool/operator metrics (Prometheus text) to this file at exit (\"-\" = stderr)")
 	chromeTrace := flag.String("chrome-trace", "", "write the suite's merged operator timeline (Chrome trace-event JSON, loadable in Perfetto) to this file; needs a suite experiment (fig2a/fig3*/fig4/all)")
 	batch := flag.Int("batch", 0, "run the continuous-batching comparison instead of -experiment: one batched pass of N items vs N sequential solo runs, per workload (N >= 2)")
-	kernelName := flag.String("kernel", "auto", "GEMM/conv kernel implementation: auto (measured dispatch table), naive, or tiled")
+	kernelName := flag.String("kernel", "auto", "GEMM/GEMV/conv kernel implementation: auto (measured dispatch table), naive, or tiled")
 	kernelBench := flag.String("kernel-bench", "", "benchmark naive vs tiled kernels over the workload operator shapes and write the roofline table (BENCH_kernels.json format) to this file instead of running -experiment")
 	explore := flag.String("explore", "", "run the design-space exploration smoke instead of -experiment: characterize -explore-workload once, sweep the default 256-point config space over the cached trace, and write the BENCH_explore.json artifact to this file")
 	exploreWorkload := flag.String("explore-workload", "NVSA", "workload the -explore sweep characterizes and projects")

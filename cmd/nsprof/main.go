@@ -32,7 +32,7 @@ func main() {
 	chromeOut := flag.String("chrome-trace", "", "write a chrome://tracing / Perfetto timeline to this file")
 	backendName := flag.String("backend", ops.BackendSerial, "execution backend: serial or parallel")
 	workers := flag.Int("workers", 0, "parallel backend worker count (0 = GOMAXPROCS)")
-	kernelName := flag.String("kernel", "auto", "GEMM/conv kernel implementation: auto (measured dispatch table), naive, or tiled")
+	kernelName := flag.String("kernel", "auto", "GEMM/GEMV/conv kernel implementation: auto (measured dispatch table), naive, or tiled")
 	metricsOut := flag.String("metrics", "", "dump runtime/pool/operator metrics (Prometheus text) to this file at exit (\"-\" = stderr)")
 	logFormat := flag.String("log-format", logging.FormatText, "log output format: text or json")
 	flag.Parse()

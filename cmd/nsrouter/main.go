@@ -43,6 +43,10 @@ import (
 	"github.com/neurosym/nsbench/internal/membership"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":9090", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated nsserve base URLs (optional with -join)")
@@ -99,7 +103,10 @@ func main() {
 		fatal(err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: rt.Handler()}
+	// A header deadline stops slowloris clients from pinning connections;
+	// bodies and responses stay unbounded in time because /v1/explore
+	// streams for as long as its sweep runs.
+	hs := &http.Server{Addr: *addr, Handler: rt.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "nsrouter: listening on %s, fronting %d static replicas (dynamic join %v)\n",

@@ -53,6 +53,10 @@ import (
 	"github.com/neurosym/nsbench/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	backendName := flag.String("backend", ops.BackendParallel, "execution backend: serial or parallel")
@@ -100,7 +104,10 @@ func main() {
 		fatal(err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// A header deadline stops slowloris clients from pinning connections;
+	// bodies and responses stay unbounded in time because /v1/explore
+	// streams for as long as its sweep runs.
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "nsserve: listening on %s (backend %s)\n", *addr, *backendName)

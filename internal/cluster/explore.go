@@ -35,14 +35,8 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if !allowMethods(w, r, http.MethodPost) {
 		return
 	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
 	var req serve.ExploreRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !serve.DecodeBody(w, r, &req, "bad request body") {
 		return
 	}
 	if req.ShardCount != 0 || req.ShardIndex != 0 {

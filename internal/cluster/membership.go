@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 
 	"github.com/neurosym/nsbench/internal/membership"
+	"github.com/neurosym/nsbench/internal/serve"
 )
 
 // Dynamic membership endpoints. A replica POSTs /v1/cluster/join on
@@ -49,14 +49,8 @@ type membersResponse struct {
 
 // decodeAnnouncement parses and canonicalizes one join/leave body.
 func decodeAnnouncement(w http.ResponseWriter, r *http.Request) (string, bool) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-		return "", false
-	}
 	var ann membership.Announcement
-	if err := json.Unmarshal(raw, &ann); err != nil {
-		http.Error(w, "bad announcement: "+err.Error(), http.StatusBadRequest)
+	if !serve.DecodeBody(w, r, &ann, "bad announcement") {
 		return "", false
 	}
 	node, err := membership.NormalizeNode(ann.URL)

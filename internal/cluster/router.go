@@ -508,10 +508,11 @@ func allowMethods(w http.ResponseWriter, r *http.Request, methods ...string) boo
 	return false
 }
 
-// maxBodyBytes bounds request and upstream bodies. Reports are tens of
-// kilobytes; a megabyte of headroom keeps the copy loops bounded without
-// ever truncating a legitimate payload.
-const maxBodyBytes = 1 << 20
+// maxBodyBytes bounds upstream bodies, at the limit serve.DecodeBody
+// puts on request bodies. Reports are tens of kilobytes; a megabyte of
+// headroom keeps the copy loops bounded without ever truncating a
+// legitimate payload.
+const maxBodyBytes = serve.MaxBodyBytes
 
 // upstream is one replica response, fully buffered so it can be replayed
 // to the client after the retry/hedge race settles.
@@ -883,14 +884,8 @@ func (rt *Router) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	routeStart := time.Now()
 	id := requestID(r)
 	defer func() { rt.recordRouterSpan(id, "route.characterize", routeStart) }()
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
 	var req serve.Request
-	if err := json.Unmarshal(raw, &req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !serve.DecodeBody(w, r, &req, "bad request body") {
 		return
 	}
 	canon, key, err := serve.Canonicalize(req)

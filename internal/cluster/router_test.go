@@ -14,6 +14,7 @@ import (
 
 	"github.com/neurosym/nsbench/internal/core"
 	"github.com/neurosym/nsbench/internal/hwsim"
+	"github.com/neurosym/nsbench/internal/membership"
 	"github.com/neurosym/nsbench/internal/serve"
 )
 
@@ -200,6 +201,38 @@ func TestRouterClientCancelAnswers499(t *testing.T) {
 	}
 	if good, total := rt.sloGood.Value(), rt.sloTotal.Value(); good != total {
 		t.Fatalf("availability feed good/total = %d/%d after a client cancel, want equal", good, total)
+	}
+}
+
+// TestRouterOversizeBodiesAnswer413 sends each body-reading router
+// endpoint valid JSON one string past maxBodyBytes. The router used to
+// truncate such a body and answer a misleading 400 "unexpected end of
+// JSON input"; it must answer 413 and forward nothing.
+func TestRouterOversizeBodiesAnswer413(t *testing.T) {
+	var hits atomic.Int32
+	replica := stubReplica(t, func(w http.ResponseWriter, r *http.Request) { hits.Add(1) })
+	rt := newTestRouter(t, Config{
+		Replicas:   []string{replica.URL},
+		Health:     fastHealth(),
+		Membership: membership.Config{Enabled: true},
+	})
+	h := rt.Handler()
+	pad := strings.Repeat("x", maxBodyBytes)
+	for path, body := range map[string]string{
+		"/v1/characterize":  `{"workload":"` + pad + `"}`,
+		"/v1/explore":       `{"workload":"` + pad + `"}`,
+		"/v1/cluster/join":  `{"url":"http://` + pad + `"}`,
+		"/v1/cluster/leave": `{"url":"http://` + pad + `"}`,
+	} {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: %d %.80s, want 413", path, len(body), rec.Code, rec.Body)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("oversize requests reached a replica %d times", n)
 	}
 }
 

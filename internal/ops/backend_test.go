@@ -129,3 +129,47 @@ func TestOneToleratesEmptyOutputs(t *testing.T) {
 		t.Fatalf("one(empty) = %v, want nil", got)
 	}
 }
+
+// grainRecorder is a serial backend that remembers the grain of each
+// dispatch, the one place the two GEMV kernels differ observably.
+type grainRecorder struct {
+	backend.Serial
+	grains []int
+}
+
+func (g *grainRecorder) For(n, grain int, fn func(lo, hi int)) {
+	g.grains = append(g.grains, grain)
+	g.Serial.For(n, grain, fn)
+}
+
+// ForWorker is the entry the engine's kernel tracer uses.
+func (g *grainRecorder) ForWorker(n, grain int, fn func(worker, lo, hi int)) {
+	g.grains = append(g.grains, grain)
+	g.Serial.ForWorker(n, grain, fn)
+}
+
+// TestKernelChoiceReachesMatVec checks that the engine's kernel choice
+// drives its GEMV. Both kernels give the same bits, so the test reads the
+// dispatch grain instead: at k = 16384 one row is a full 32 KFLOP chunk,
+// so the single-row kernel asks for a grain of 1 and the multi-row kernel
+// rounds it up to one 4-row block.
+func TestKernelChoiceReachesMatVec(t *testing.T) {
+	g := tensor.NewRNG(1)
+	a, x := g.Normal(0, 1, 8, 16384), g.Normal(0, 1, 16384)
+	for _, c := range []struct {
+		opts  []Option
+		grain int
+	}{
+		{nil, 4},
+		{[]Option{WithKernel(tensor.KernelTiled)}, 4},
+		{[]Option{WithKernel(tensor.KernelNaive)}, 1},
+		{[]Option{WithKernel(Config{Kernel: tensor.KernelNameNaive}.kernel())}, 1},
+	} {
+		rec := &grainRecorder{}
+		e := New(append([]Option{WithBackend(rec)}, c.opts...)...)
+		e.MatVec(a, x)
+		if len(rec.grains) != 1 || rec.grains[0] != c.grain {
+			t.Errorf("kernel %v: MatVec dispatched grains %v, want [%d]", e.Kernel(), rec.grains, c.grain)
+		}
+	}
+}

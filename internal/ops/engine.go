@@ -28,7 +28,7 @@ type Engine struct {
 	stage string
 
 	// kernel selects the tensor kernel variant (auto, naive, tiled) the
-	// engine's GEMM and convolution ops dispatch to. The zero value is
+	// engine's GEMM, GEMV and convolution ops dispatch to. The zero value is
 	// tensor.KernelAuto: the measured per-shape dispatch table decides.
 	kernel tensor.Kernel
 

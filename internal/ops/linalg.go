@@ -47,7 +47,7 @@ func (e *Engine) MatVec(a, x *tensor.Tensor) *tensor.Tensor {
 		flops:    tensor.FlopsMatMul(m, k, 1),
 		bytes:    tensor.BytesMatMul(m, k, 1),
 		inputs:   []*tensor.Tensor{a, x},
-	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.MatVecOn(e.be, a, x)} }))
+	}, func() []*tensor.Tensor { return []*tensor.Tensor{tensor.MatVecKernelOn(e.be, e.kernel, a, x)} }))
 }
 
 // BatchMatMul records an instrumented batched GEMM.

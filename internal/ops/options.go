@@ -48,7 +48,7 @@ func WithObserver(fn trace.Observer) Option {
 	return func(e *Engine) { e.observer = fn }
 }
 
-// WithKernel pins the tensor kernel variant the engine's GEMM and
+// WithKernel pins the tensor kernel variant the engine's GEMM, GEMV and
 // convolution ops dispatch to. The default, tensor.KernelAuto, lets the
 // measured per-shape dispatch table choose; KernelNaive and KernelTiled
 // force one implementation (outputs are bit-identical either way).

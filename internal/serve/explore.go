@@ -109,8 +109,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExploreRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, &req, "bad request body") {
 		return
 	}
 	canon, key, err := canonicalize(Request{Workload: req.Workload, Device: req.Device})

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -497,6 +498,36 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// MaxBodyBytes bounds every request body the replica and the router
+// decode. Reports, the largest bodies (cache fills), are tens of
+// kilobytes.
+const MaxBodyBytes = 1 << 20
+
+// DecodeBody unmarshals r's JSON body into v, reading at most
+// MaxBodyBytes of it. An oversize body is answered 413 rather than
+// truncated into a misleading JSON syntax error; an unreadable one 400,
+// and a malformed one (trailing data after the value included) 400 with
+// the error prefixed by what. Both tiers decode through it, so a body
+// gets the same answer from the router as from a replica. It reports
+// whether v was decoded.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+	case err != nil:
+		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+	default:
+		if err := json.Unmarshal(raw, v); err != nil {
+			http.Error(w, what+": "+err.Error(), http.StatusBadRequest)
+			return false
+		}
+		return true
+	}
+	return false
+}
+
 // allowMethods gates r to the listed methods. On a mismatch it answers
 // 405 with the Allow header RFC 9110 §15.5.6 requires and reports false.
 func allowMethods(w http.ResponseWriter, r *http.Request, methods ...string) bool {
@@ -670,8 +701,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.recordServeSpan(id, "serve.characterize", reqStart) }()
 	s.st.requests.Inc()
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, &req, "bad request body") {
 		return
 	}
 	canon, key, err := canonicalize(req)
@@ -783,8 +813,7 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 	id := requestID(r)
 	defer func() { s.recordServeSpan(id, "serve.cache_fill", fillStart) }()
 	var fill FillRequest
-	if err := json.NewDecoder(r.Body).Decode(&fill); err != nil {
-		http.Error(w, "bad fill body: "+err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, &fill, "bad fill body") {
 		return
 	}
 	_, key, err := canonicalize(fill.Request)

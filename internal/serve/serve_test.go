@@ -181,6 +181,8 @@ func TestBadRequests(t *testing.T) {
 		`{"workload":"testfast","device":"TPUv9"}`: http.StatusBadRequest,
 		`{`:  http.StatusBadRequest,
 		`{}`: http.StatusBadRequest,
+		// Trailing data: the router rejects it, so the replica must too.
+		`{"workload":"testfast"} {"workload":"LTN"}`: http.StatusBadRequest,
 	} {
 		if rec := post(h, body); rec.Code != wantCode {
 			t.Errorf("body %s: status %d, want %d", body, rec.Code, wantCode)
@@ -191,6 +193,31 @@ func TestBadRequests(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET characterize: %d, want 405", rec.Code)
+	}
+}
+
+// TestOversizeBodiesAnswer413 sends each decoding endpoint a well-formed
+// JSON body one string past MaxBodyBytes: the replica must refuse it with
+// 413 before decoding, not read it whole or answer a generic 400.
+func TestOversizeBodiesAnswer413(t *testing.T) {
+	resetCtl(false)
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	pad := strings.Repeat("x", MaxBodyBytes)
+	for path, body := range map[string]string{
+		"/v1/characterize": `{"workload":"testfast","device":"` + pad + `"}`,
+		"/v1/cache/fill":   `{"request":{"workload":"testfast"},"report":"` + pad + `"}`,
+		"/v1/explore":      `{"workload":"testfast","device":"` + pad + `"}`,
+	} {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: %d %.80s, want 413", path, len(body), rec.Code, rec.Body)
+		}
+	}
+	if runs := testCtl.runs.Load(); runs != 0 {
+		t.Fatalf("oversize requests ran the workload %d times", runs)
 	}
 }
 

@@ -79,7 +79,13 @@ func TestMatVecBitIdenticalAcrossBackends(t *testing.T) {
 			m, k := int(m8%64)+1, int(k8%64)+1
 			rng := rand.New(rand.NewSource(seed))
 			a, x := randTensor(rng, m, k), randTensor(rng, k)
-			return bitsEqual(t, "MatVec", MatVecOn(Serial, a, x), MatVecOn(be, a, x))
+			want := MatVecKernelOn(Serial, KernelNaive, a, x)
+			for _, kern := range []Kernel{KernelNaive, KernelTiled, KernelAuto} {
+				if !bitsEqual(t, "MatVec("+kern.String()+")", want, MatVecKernelOn(be, kern, a, x)) {
+					return false
+				}
+			}
+			return true
 		}
 		if err := quick.Check(prop, equivCfg(2)); err != nil {
 			t.Error(err)

@@ -2,7 +2,7 @@ package tensor
 
 import "fmt"
 
-// Kernel selects a GEMM/conv kernel implementation. The zero value is
+// Kernel selects a GEMM/GEMV/conv kernel implementation. The zero value is
 // KernelAuto, which consults the measured dispatch table below; the
 // explicit values force one implementation, which is what the bit-identity
 // tests and the kernel benchmarks use.
@@ -15,7 +15,8 @@ const (
 	KernelAuto Kernel = iota
 	// KernelNaive forces the original direct loops.
 	KernelNaive
-	// KernelTiled forces the register-blocked, cache-tiled variants.
+	// KernelTiled forces the register-blocked variants: the cache-tiled
+	// GEMM and conv and the multi-row GEMV.
 	KernelTiled
 )
 
@@ -75,6 +76,10 @@ const (
 	// narrower than one block run entirely in the edge path and the naive
 	// per-pixel loop is equally good.
 	convTiledMinWout = 4
+	// gemvMultiMinRows is the m floor for the multi-row GEMV: below one
+	// row block every row runs in the single-row leftover loop, so the
+	// multi-row kernel has nothing to share x loads across.
+	gemvMultiMinRows = gemvRows
 )
 
 // GemmKernelFor reports the kernel the auto dispatch table selects for an
@@ -85,6 +90,10 @@ func GemmKernelFor(m, k, n int) Kernel { return gemmKernel(KernelAuto, m, k, n) 
 // convolution with output width wout.
 func ConvKernelFor(wout int) Kernel { return convKernel(KernelAuto, wout) }
 
+// GemvKernelFor reports the kernel the auto dispatch table selects for an
+// m×k · k matrix-vector product. KernelTiled is the multi-row GEMV.
+func GemvKernelFor(m, k int) Kernel { return gemvKernel(KernelAuto, m, k) }
+
 // gemmKernel resolves the kernel to run an m×k · k×n product on.
 func gemmKernel(kern Kernel, m, k, n int) Kernel {
 	if kern != KernelAuto {
@@ -94,6 +103,19 @@ func gemmKernel(kern Kernel, m, k, n int) Kernel {
 		return KernelNaive
 	}
 	if 2*int64(m)*int64(k)*int64(n) < gemmTiledMinFlops {
+		return KernelNaive
+	}
+	return KernelTiled
+}
+
+// gemvKernel resolves the kernel to run an m×k · k GEMV on. The
+// multi-row kernel keeps no state and costs nothing extra per row, so the
+// only floor is one full row block; k does not enter the decision.
+func gemvKernel(kern Kernel, m, _ int) Kernel {
+	if kern != KernelAuto {
+		return kern
+	}
+	if m < gemvMultiMinRows {
 		return KernelNaive
 	}
 	return KernelTiled

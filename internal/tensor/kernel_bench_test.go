@@ -63,3 +63,27 @@ func BenchmarkConvKernels(b *testing.B) {
 		}
 	}
 }
+
+var gemvBenchShapes = []struct {
+	name string
+	m, k int
+}{
+	{"nvsa-cleanup-2700x4096", 2700, 4096},
+	{"vsait-lsh-8192x16", 8192, 16},
+	{"nvsa-codebook-3x4096", 3, 4096},
+}
+
+func BenchmarkGemvKernels(b *testing.B) {
+	for _, s := range gemvBenchShapes {
+		g := NewRNG(3)
+		a, x := g.Normal(0, 1, s.m, s.k), g.Normal(0, 1, s.k)
+		for _, kern := range []Kernel{KernelNaive, KernelTiled} {
+			b.Run(fmt.Sprintf("%s/%s", s.name, kern), func(b *testing.B) {
+				b.SetBytes(4 * int64(s.m) * int64(s.k))
+				for i := 0; i < b.N; i++ {
+					MatVecKernelOn(Serial, kern, a, x)
+				}
+			})
+		}
+	}
+}

@@ -7,10 +7,11 @@ import (
 )
 
 // TestKernelSpeedupSmoke is the CI guard on the tiled kernels' reason to
-// exist: on large shapes the tiled GEMM/conv must actually beat naive.
-// Gated behind NSBENCH_KERNEL_SMOKE because it needs a quiet machine and
-// ~a second of timed work. The asserted floors (1.5x GEMM, 1.2x conv) sit
-// well under the recorded speedups in BENCH_kernels.json (4-5x and ~2x)
+// exist: on large shapes the tiled GEMM/conv and the multi-row GEMV must
+// actually beat naive. Gated behind NSBENCH_KERNEL_SMOKE because it needs
+// a quiet machine and ~a second of timed work. The asserted floors (1.5x
+// GEMM, 1.2x conv, 1.5x GEMV on NVSA's 2700x4096 cleanup) sit well under
+// the recorded speedups in BENCH_kernels.json (4-5x, ~2x and ~2x)
 // so scheduler noise cannot flake the job, while still catching any
 // regression that would invalidate the dispatch table.
 func TestKernelSpeedupSmoke(t *testing.T) {
@@ -46,5 +47,12 @@ func TestKernelSpeedupSmoke(t *testing.T) {
 	tiled = minNs(func() { Conv2DKernelOn(Serial, KernelTiled, in, w, bias, 1, 1) }, 5)
 	if speedup := float64(naive) / float64(tiled); speedup < 1.2 {
 		t.Errorf("tiled conv on 1x16x16x32: %.2fx over naive (naive %dns, tiled %dns), want >= 1.2x", speedup, naive, tiled)
+	}
+
+	cb, q := g.Normal(0, 1, 2700, 4096), g.Normal(0, 1, 4096)
+	naive = minNs(func() { MatVecKernelOn(Serial, KernelNaive, cb, q) }, 5)
+	tiled = minNs(func() { MatVecKernelOn(Serial, KernelTiled, cb, q) }, 5)
+	if speedup := float64(naive) / float64(tiled); speedup < 1.5 {
+		t.Errorf("multi-row GEMV on 2700x4096: %.2fx over naive (naive %dns, multi-row %dns), want >= 1.5x", speedup, naive, tiled)
 	}
 }

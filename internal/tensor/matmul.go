@@ -69,11 +69,18 @@ func matMulRows(ad, bd, od []float32, k, n, lo, hi int) {
 // MatVec returns the matrix-vector product of a (m×k) and x (k) as a length-m vector.
 func MatVec(a, x *Tensor) *Tensor { return MatVecOn(Serial, a, x) }
 
-// MatVecOn is MatVec dispatched on r, chunked over output elements. It
-// accumulates in float32 under the package accumulation contract (see the
-// top of this file): MatVec(a, x) is bit-identical to MatMul(a, x viewed
-// as a k×1 column), pinned by TestMatVecMatchesMatMulColumn.
-func MatVecOn(r Runner, a, x *Tensor) *Tensor {
+// MatVecOn is MatVec dispatched on r with the auto kernel: the measured
+// dispatch table picks the single-row or multi-row implementation per
+// shape.
+func MatVecOn(r Runner, a, x *Tensor) *Tensor { return MatVecKernelOn(r, KernelAuto, a, x) }
+
+// MatVecKernelOn is MatVec dispatched on r with an explicit kernel choice,
+// chunked over output elements. It accumulates in float32 under the
+// package accumulation contract (see the top of this file): every output
+// keeps its own ascending-p multiply-add chain whatever the kernel and
+// runner, so MatVec(a, x) is bit-identical to MatMul(a, x viewed as a k×1
+// column), pinned by TestMatVecMatchesMatMulColumn.
+func MatVecKernelOn(r Runner, kern Kernel, a, x *Tensor) *Tensor {
 	if a.Rank() != 2 || x.Rank() != 1 {
 		panic(fmt.Sprintf("tensor: MatVec needs (2,1)-rank operands, got %v x %v", a.shape, x.shape))
 	}
@@ -82,18 +89,67 @@ func MatVecOn(r Runner, a, x *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %v x %v", a.shape, x.shape))
 	}
 	out := New(m)
-	ad, xd := a.data, x.data
+	ad, xd, od := a.data, x.data, out.data
+	if gemvKernel(kern, m, k) == KernelTiled {
+		// A grain of whole row blocks gives every chunk at least one
+		// block, so no chunk runs on the single-row loop alone. Chunks
+		// still split m evenly and may each end in up to three leftovers.
+		g := grainFor(2 * int64(k))
+		g = (g + gemvRows - 1) / gemvRows * gemvRows
+		r.For(m, g, func(lo, hi int) {
+			matVecRowsMulti(ad, xd, od, k, lo, hi)
+		})
+		return out
+	}
 	r.For(m, grainFor(2*int64(k)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s float32
-			row := ad[i*k : (i+1)*k]
-			for p, v := range row {
-				s += v * xd[p]
-			}
-			out.data[i] = s
-		}
+		matVecRows(ad, xd, od, k, lo, hi)
 	})
 	return out
+}
+
+// matVecRows computes outputs [lo, hi) of an m×k · k GEMV, one row at a
+// time: a single float32 chain per output, so the loop runs at the
+// latency of one dependent add per element.
+func matVecRows(ad, xd, od []float32, k, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		var s float32
+		row := ad[i*k : (i+1)*k]
+		for p, v := range row {
+			s += v * xd[p]
+		}
+		od[i] = s
+	}
+}
+
+// gemvRows is the multi-row GEMV's register block: rows per pass over x.
+// Four independent chains hide the float32 add latency; eight measured
+// slower in Go (the extra row slices and sums spill).
+const gemvRows = 4
+
+// matVecRowsMulti computes outputs [lo, hi) in blocks of gemvRows rows.
+// Each block loads x[p] once for all four rows and keeps one accumulator
+// per row, so four independent chains are in flight instead of one. Each
+// output still adds its products in ascending p, exactly like
+// matVecRows, which finishes the leftover rows.
+func matVecRowsMulti(ad, xd, od []float32, k, lo, hi int) {
+	x := xd[:k]
+	i := lo
+	for ; i+gemvRows <= hi; i += gemvRows {
+		// Re-sliced to len(x) so the compiler drops the bounds checks.
+		r0 := ad[i*k : (i+1)*k][:len(x)]
+		r1 := ad[(i+1)*k : (i+2)*k][:len(x)]
+		r2 := ad[(i+2)*k : (i+3)*k][:len(x)]
+		r3 := ad[(i+3)*k : (i+4)*k][:len(x)]
+		var s0, s1, s2, s3 float32
+		for p, xv := range x {
+			s0 += r0[p] * xv
+			s1 += r1[p] * xv
+			s2 += r2[p] * xv
+			s3 += r3[p] * xv
+		}
+		od[i], od[i+1], od[i+2], od[i+3] = s0, s1, s2, s3
+	}
+	matVecRows(ad, xd, od, k, i, hi)
 }
 
 // BatchMatMul multiplies two rank-3 tensors batch-wise: (B×m×k)·(B×k×n) → B×m×n.

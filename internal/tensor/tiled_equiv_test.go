@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -141,7 +142,7 @@ func TestTiledConv2DBitIdenticalRandomShapes(t *testing.T) {
 
 // TestMatVecMatchesMatMulColumn pins the package accumulation contract:
 // MatVec accumulates in float32, so MatVec(a, x) is bit-identical to
-// MatMul(a, x viewed as a k×1 column) under every kernel.
+// MatMul(a, x viewed as a k×1 column) under every GEMM and GEMV kernel.
 func TestMatVecMatchesMatMulColumn(t *testing.T) {
 	prop := func(m8, k16 uint16, seed int64) bool {
 		m, k := int(m8%48)+1, int(k16%700)+1
@@ -149,13 +150,15 @@ func TestMatVecMatchesMatMulColumn(t *testing.T) {
 		a, x := randTensor(rng, m, k), randTensor(rng, k)
 		col := New(k, 1)
 		copy(col.Data(), x.Data())
-		mv := MatVecOn(Serial, a, x)
-		for _, kern := range []Kernel{KernelNaive, KernelTiled, KernelAuto} {
-			mm := MatMulKernelOn(Serial, kern, a, col)
-			for i, v := range mv.Data() {
-				if mm.Data()[i] != v {
-					t.Errorf("kernel %v: element %d: MatVec %v, MatMul column %v", kern, i, v, mm.Data()[i])
-					return false
+		for _, gemv := range []Kernel{KernelNaive, KernelTiled, KernelAuto} {
+			mv := MatVecKernelOn(Serial, gemv, a, x)
+			for _, kern := range []Kernel{KernelNaive, KernelTiled, KernelAuto} {
+				mm := MatMulKernelOn(Serial, kern, a, col)
+				for i, v := range mv.Data() {
+					if mm.Data()[i] != v {
+						t.Errorf("GEMV %v, GEMM %v: element %d: MatVec %v, MatMul column %v", gemv, kern, i, v, mm.Data()[i])
+						return false
+					}
 				}
 			}
 		}
@@ -166,8 +169,58 @@ func TestMatVecMatchesMatMulColumn(t *testing.T) {
 	}
 }
 
+// TestMultiRowMatVecBitIdenticalToNaive sweeps every row count around the
+// four-row block (full blocks, each leftover count) plus the NVSA cleanup
+// codebook, at k = 1, an odd k and the cleanup's k, on Serial and on
+// Parallel backends whose widths split the rows unevenly.
+func TestMultiRowMatVecBitIdenticalToNaive(t *testing.T) {
+	rows := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 2700}
+	ks := []int{1, 3, 4096}
+	rng := rand.New(rand.NewSource(45))
+	for _, w := range []int{2, 3} {
+		be := backend.NewParallel(w)
+		for _, m := range rows {
+			for _, k := range ks {
+				a, x := randTensor(rng, m, k), randTensor(rng, k)
+				want := MatVecKernelOn(Serial, KernelNaive, a, x)
+				if !bitsEqual(t, "MatVec(multi-row,serial)", want, MatVecKernelOn(Serial, KernelTiled, a, x)) ||
+					!bitsEqual(t, "MatVec(multi-row,parallel)", want, MatVecKernelOn(be, KernelTiled, a, x)) ||
+					!bitsEqual(t, "MatVec(naive,parallel)", want, MatVecKernelOn(be, KernelNaive, a, x)) {
+					be.Close()
+					t.Fatalf("shape m=%d k=%d, %d workers", m, k, w)
+				}
+			}
+		}
+		be.Close()
+	}
+}
+
+// TestMultiRowMatVecNaNStaysInItsRow puts 0·Inf into one row of a
+// four-row block: that output must be NaN under both kernels and its
+// three block neighbours must stay finite and equal to naive.
+func TestMultiRowMatVecNaNStaysInItsRow(t *testing.T) {
+	const m, k = 8, 5
+	rng := rand.New(rand.NewSource(46))
+	a, x := randTensor(rng, m, k), randTensor(rng, k)
+	x.Data()[2] = 0
+	a.Data()[5*k+2] = float32(math.Inf(1)) // row 5 of block [4, 8): Inf·0 = NaN
+	want := MatVecKernelOn(Serial, KernelNaive, a, x).Data()
+	for _, kern := range []Kernel{KernelNaive, KernelTiled} {
+		for i, v := range MatVecKernelOn(Serial, kern, a, x).Data() {
+			isNaN := math.IsNaN(float64(v))
+			switch {
+			case i == 5 && !isNaN:
+				t.Errorf("%v: row 5 = %v, want NaN from Inf·0", kern, v)
+			case i != 5 && (isNaN || v != want[i]):
+				t.Errorf("%v: row %d = %v, want %v: NaN leaked from its block neighbour", kern, i, v, want[i])
+			}
+		}
+	}
+}
+
 // TestGemmDispatchTable pins the auto-dispatch decisions: pure shape
-// function, skinny/small shapes stay naive, large shapes go tiled.
+// function, skinny/small shapes stay naive, large shapes go tiled, and
+// GEMVs of at least one four-row block go multi-row.
 func TestGemmDispatchTable(t *testing.T) {
 	cases := []struct {
 		m, k, n int
@@ -190,6 +243,27 @@ func TestGemmDispatchTable(t *testing.T) {
 		}
 		if got := gemmKernel(KernelTiled, c.m, c.k, c.n); got != KernelTiled {
 			t.Errorf("gemmKernel(tiled, ...) = %v", got)
+		}
+	}
+	gemvCases := []struct {
+		m, k int
+		want Kernel
+	}{
+		{1, 4096, KernelNaive},    // below one row block
+		{3, 4096, KernelNaive},    // m < 4: every row would be a leftover
+		{4, 1, KernelTiled},       // one full block
+		{2700, 4096, KernelTiled}, // NVSA joint-codebook cleanup
+		{8192, 16, KernelTiled},   // VSAIT LSH projection
+	}
+	for _, c := range gemvCases {
+		if got := GemvKernelFor(c.m, c.k); got != c.want {
+			t.Errorf("GemvKernelFor(%d, %d) = %v, want %v", c.m, c.k, got, c.want)
+		}
+		// Explicit selections always win over the table.
+		for _, kern := range []Kernel{KernelNaive, KernelTiled} {
+			if got := gemvKernel(kern, c.m, c.k); got != kern {
+				t.Errorf("gemvKernel(%v, %d, %d) = %v", kern, c.m, c.k, got)
+			}
 		}
 	}
 	if got := convKernel(KernelAuto, convTiledMinWout-1); got != KernelNaive {
