@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -65,29 +66,46 @@ const benchTarget = 80 * time.Millisecond
 // (standard practice: the minimum is the run least disturbed by the OS).
 const benchReps = 3
 
-// benchKernel times fn (one op execution) and returns min ns/op over
-// benchReps repetitions of an iteration count filling benchTarget.
-func benchKernel(fn func()) (nsPerOp int64, reps int) {
-	fn() // warm caches and the scratch pool
-	start := time.Now()
-	fn()
-	once := time.Since(start)
-	iters := 1
-	if once > 0 && once < benchTarget {
-		iters = int(benchTarget/once) + 1
-	}
-	best := int64(1<<63 - 1)
-	for r := 0; r < benchReps; r++ {
+// benchKernels times each of fns (one op execution each) and returns,
+// per function, min ns/op over benchReps repetitions of an iteration
+// count filling benchTarget, plus the iterations timed. The repetitions
+// interleave the functions, alternating which goes first, so host drift
+// during a measurement slows every kernel alike instead of moving their
+// ratio.
+func benchKernels(fns ...func()) (nsPerOp []int64, reps []int) {
+	iters := make([]int, len(fns))
+	for i, fn := range fns {
+		fn() // warm caches and the scratch pool
 		start := time.Now()
-		for i := 0; i < iters; i++ {
-			fn()
-		}
-		per := time.Since(start).Nanoseconds() / int64(iters)
-		if per < best {
-			best = per
+		fn()
+		once := time.Since(start)
+		iters[i] = 1
+		if once > 0 && once < benchTarget {
+			iters[i] = int(benchTarget/once) + 1
 		}
 	}
-	return best, iters * benchReps
+	nsPerOp = make([]int64, len(fns))
+	reps = make([]int, len(fns))
+	for i := range fns {
+		nsPerOp[i] = math.MaxInt64
+		reps[i] = iters[i] * benchReps
+	}
+	for r := 0; r < benchReps; r++ {
+		for j := range fns {
+			i := j
+			if r%2 == 1 {
+				i = len(fns) - 1 - j
+			}
+			start := time.Now()
+			for n := 0; n < iters[i]; n++ {
+				fns[i]()
+			}
+			if per := time.Since(start).Nanoseconds() / int64(iters[i]); per < nsPerOp[i] {
+				nsPerOp[i] = per
+			}
+		}
+	}
+	return nsPerOp, reps
 }
 
 // kernelBenchShapes: the suite's real GEMM shapes (NVSA linear head,
@@ -134,14 +152,17 @@ func runKernelBench(path string) error {
 	derived := map[string]interface{}{}
 
 	bench := func(name, op, autoPick string, flops, bytes int64, run func(tensor.Kernel)) map[string]int64 {
+		kernels := []tensor.Kernel{tensor.KernelNaive, tensor.KernelTiled}
+		nsPerOp, reps := benchKernels(
+			func() { run(tensor.KernelNaive) },
+			func() { run(tensor.KernelTiled) })
 		per := map[string]int64{}
-		for _, kern := range []tensor.Kernel{tensor.KernelNaive, tensor.KernelTiled} {
-			k := kern
-			ns, reps := benchKernel(func() { run(k) })
+		for i, kern := range kernels {
+			ns := nsPerOp[i]
 			per[kern.String()] = ns
 			row := kernelBenchRow{
 				Name: name, Op: op, Kernel: kern.String(), AutoPick: autoPick,
-				Reps: reps, NsPerOp: ns, FLOPs: flops, AlgBytes: bytes,
+				Reps: reps[i], NsPerOp: ns, FLOPs: flops, AlgBytes: bytes,
 				Roofline: map[string]kernelRoofline{},
 			}
 			if bytes > 0 {

@@ -17,9 +17,9 @@ import (
 	"os"
 	"time"
 
+	"github.com/neurosym/nsbench/internal/cliflags"
 	"github.com/neurosym/nsbench/internal/core"
 	"github.com/neurosym/nsbench/internal/hwsim"
-	"github.com/neurosym/nsbench/internal/logging"
 	"github.com/neurosym/nsbench/internal/metrics"
 	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/trace"
@@ -28,19 +28,15 @@ import (
 func main() {
 	experiment := flag.String("experiment", "all", "which experiment to regenerate (fig2a, fig2b, fig2c, fig3a, fig3b, fig3c, fig4, fig5, tab1, tab4, sweep, recs, all)")
 	device := flag.String("device", hwsim.RTX2080Ti.Name, "reference device for roofline and Table IV")
-	backendName := flag.String("backend", ops.BackendSerial, "execution backend: serial or parallel")
-	workers := flag.Int("workers", 0, "parallel backend worker count (0 = GOMAXPROCS)")
-	metricsOut := flag.String("metrics", "", "dump runtime/pool/operator metrics (Prometheus text) to this file at exit (\"-\" = stderr)")
 	chromeTrace := flag.String("chrome-trace", "", "write the suite's merged operator timeline (Chrome trace-event JSON, loadable in Perfetto) to this file; needs a suite experiment (fig2a/fig3*/fig4/all)")
 	batch := flag.Int("batch", 0, "run the continuous-batching comparison instead of -experiment: one batched pass of N items vs N sequential solo runs, per workload (N >= 2)")
-	kernelName := flag.String("kernel", "auto", "GEMM/GEMV/conv kernel implementation: auto (measured dispatch table), naive, or tiled")
 	kernelBench := flag.String("kernel-bench", "", "benchmark naive vs tiled kernels over the workload operator shapes and write the roofline table (BENCH_kernels.json format) to this file instead of running -experiment")
 	explore := flag.String("explore", "", "run the design-space exploration smoke instead of -experiment: characterize -explore-workload once, sweep the default 256-point config space over the cached trace, and write the BENCH_explore.json artifact to this file")
 	exploreWorkload := flag.String("explore-workload", "NVSA", "workload the -explore sweep characterizes and projects")
-	logFormat := flag.String("log-format", logging.FormatText, "log output format: text or json")
+	common := cliflags.Register(flag.CommandLine)
 	flag.Parse()
 
-	if _, err := logging.Setup(os.Stderr, *logFormat, false); err != nil {
+	if err := common.SetupLogging(); err != nil {
 		fatal(err)
 	}
 	if *kernelBench != "" {
@@ -53,8 +49,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng := ops.Config{Backend: *backendName, Workers: *workers, Kernel: *kernelName}
-	if err := eng.Validate(); err != nil {
+	eng, err := common.Engine()
+	if err != nil {
 		fatal(err)
 	}
 	if *explore != "" {
@@ -72,37 +68,13 @@ func main() {
 		}
 		return
 	}
-	var reg *metrics.Registry
-	if *metricsOut != "" {
-		reg = metrics.NewRegistry()
-		metrics.NewGoCollector(reg)
-		metrics.RegisterBuildInfo(reg)
-	}
+	reg := common.Registry()
 	if err := run(*experiment, dev, eng, reg, *chromeTrace); err != nil {
 		fatal(err)
 	}
-	if reg != nil {
-		if err := dumpMetrics(reg, *metricsOut); err != nil {
-			fatal(err)
-		}
+	if err := common.DumpMetrics(reg); err != nil {
+		fatal(err)
 	}
-}
-
-// dumpMetrics writes the registry's Prometheus exposition to path ("-"
-// selects stderr, keeping stdout clean for the experiment tables).
-func dumpMetrics(reg *metrics.Registry, path string) error {
-	if path == "-" {
-		return reg.WriteProm(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteProm(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {
@@ -163,15 +135,7 @@ func writeChromeTrace(path string, reports []*core.Report) error {
 		}
 	}
 	combined.Merge(parts...)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := combined.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := cliflags.WriteFile(path, combined.WriteChromeTrace); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "nsbench: wrote chrome trace to %s (open in https://ui.perfetto.dev)\n", path)

@@ -11,14 +11,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
+	"github.com/neurosym/nsbench/internal/cliflags"
 	"github.com/neurosym/nsbench/internal/core"
 	"github.com/neurosym/nsbench/internal/hwsim"
-	"github.com/neurosym/nsbench/internal/logging"
-	"github.com/neurosym/nsbench/internal/metrics"
 	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/trace"
 )
@@ -30,14 +28,10 @@ func main() {
 	jsonOut := flag.String("json", "", "write the raw trace as JSON to this file")
 	reportOut := flag.String("report", "", "write the report summary as JSON to this file")
 	chromeOut := flag.String("chrome-trace", "", "write a chrome://tracing / Perfetto timeline to this file")
-	backendName := flag.String("backend", ops.BackendSerial, "execution backend: serial or parallel")
-	workers := flag.Int("workers", 0, "parallel backend worker count (0 = GOMAXPROCS)")
-	kernelName := flag.String("kernel", "auto", "GEMM/GEMV/conv kernel implementation: auto (measured dispatch table), naive, or tiled")
-	metricsOut := flag.String("metrics", "", "dump runtime/pool/operator metrics (Prometheus text) to this file at exit (\"-\" = stderr)")
-	logFormat := flag.String("log-format", logging.FormatText, "log output format: text or json")
+	common := cliflags.Register(flag.CommandLine)
 	flag.Parse()
 
-	if _, err := logging.Setup(os.Stderr, *logFormat, false); err != nil {
+	if err := common.SetupLogging(); err != nil {
 		fatal(err)
 	}
 	dev, err := hwsim.DeviceByName(*device)
@@ -48,17 +42,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng := ops.Config{Backend: *backendName, Workers: *workers, Kernel: *kernelName}
-	if err := eng.Validate(); err != nil {
+	eng, err := common.Engine()
+	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "profiling %s on the %s backend...\n", w.Name(), *backendName)
+	fmt.Fprintf(os.Stderr, "profiling %s on the %s backend...\n", w.Name(), common.Backend)
 	pool := eng.NewPool()
-	var reg *metrics.Registry
-	if *metricsOut != "" {
-		reg = metrics.NewRegistry()
-		metrics.NewGoCollector(reg)
-		metrics.RegisterBuildInfo(reg)
+	reg := common.Registry()
+	if reg != nil {
 		ops.RegisterPoolMetrics(reg, pool)
 		pool.SetObserver(ops.NewOpObserver(reg))
 	}
@@ -68,10 +59,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if reg != nil {
-		if err := dumpMetrics(reg, *metricsOut); err != nil {
-			fatal(err)
-		}
+	if err := common.DumpMetrics(reg); err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("workload: %s (%s)\n", r.Name, r.Category)
@@ -109,45 +98,23 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		if err := writeTo(*jsonOut, r.Trace.WriteJSON); err != nil {
+		if err := cliflags.WriteFile(*jsonOut, r.Trace.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(os.Stderr, "trace JSON written to", *jsonOut)
 	}
 	if *reportOut != "" {
-		if err := writeTo(*reportOut, r.WriteJSON); err != nil {
+		if err := cliflags.WriteFile(*reportOut, r.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(os.Stderr, "report JSON written to", *reportOut)
 	}
 	if *chromeOut != "" {
-		if err := writeTo(*chromeOut, r.Trace.WriteChromeTrace); err != nil {
+		if err := cliflags.WriteFile(*chromeOut, r.Trace.WriteChromeTrace); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(os.Stderr, "chrome trace written to", *chromeOut)
 	}
-}
-
-// dumpMetrics writes the registry's Prometheus exposition to path ("-"
-// selects stderr, keeping stdout clean for the report).
-func dumpMetrics(reg *metrics.Registry, path string) error {
-	if path == "-" {
-		return reg.WriteProm(os.Stderr)
-	}
-	return writeTo(path, reg.WriteProm)
-}
-
-// writeTo streams an export function into a freshly created file.
-func writeTo(path string, f func(io.Writer) error) error {
-	fd, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := f(fd); err != nil {
-		fd.Close()
-		return err
-	}
-	return fd.Close()
 }
 
 func fatal(err error) {

@@ -28,24 +28,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/neurosym/nsbench/internal/cluster"
+	"github.com/neurosym/nsbench/internal/httpx"
 	"github.com/neurosym/nsbench/internal/logging"
 	"github.com/neurosym/nsbench/internal/membership"
 )
-
-// readHeaderTimeout bounds how long a client may take to send its request
-// headers.
-const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":9090", "listen address")
@@ -103,31 +96,19 @@ func main() {
 		fatal(err)
 	}
 
-	// A header deadline stops slowloris clients from pinning connections;
-	// bodies and responses stay unbounded in time because /v1/explore
-	// streams for as long as its sweep runs.
-	hs := &http.Server{Addr: *addr, Handler: rt.Handler(), ReadHeaderTimeout: readHeaderTimeout}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	hs, err := httpx.Listen(*addr, rt.Handler())
+	if err != nil {
+		rt.Close()
+		fatal(err)
+	}
 	fmt.Fprintf(os.Stderr, "nsrouter: listening on %s, fronting %d static replicas (dynamic join %v)\n",
 		*addr, len(urls), *join)
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	select {
-	case <-ctx.Done():
+	err = hs.Serve("nsrouter", 10*time.Second, func() {
 		fmt.Fprintln(os.Stderr, "nsrouter: shutting down...")
-		dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(dctx); err != nil {
-			fmt.Fprintln(os.Stderr, "nsrouter: drain incomplete:", err)
-		}
-		rt.Close()
-	case err := <-errc:
-		rt.Close()
-		if err != http.ErrServerClosed {
-			fatal(err)
-		}
+	})
+	rt.Close()
+	if err != nil {
+		fatal(err)
 	}
 }
 

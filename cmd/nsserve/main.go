@@ -37,25 +37,18 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"github.com/neurosym/nsbench/internal/httpx"
 	"github.com/neurosym/nsbench/internal/logging"
 	"github.com/neurosym/nsbench/internal/membership"
 	"github.com/neurosym/nsbench/internal/ops"
 	"github.com/neurosym/nsbench/internal/serve"
 )
-
-// readHeaderTimeout bounds how long a client may take to send its request
-// headers.
-const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -104,12 +97,11 @@ func main() {
 		fatal(err)
 	}
 
-	// A header deadline stops slowloris clients from pinning connections;
-	// bodies and responses stay unbounded in time because /v1/explore
-	// streams for as long as its sweep runs.
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	hs, err := httpx.Listen(*addr, srv.Handler())
+	if err != nil {
+		srv.Close()
+		fatal(err)
+	}
 	fmt.Fprintf(os.Stderr, "nsserve: listening on %s (backend %s)\n", *addr, *backendName)
 
 	// Dynamic membership: join the router's cluster and keep heartbeating
@@ -136,10 +128,7 @@ func main() {
 		announcer.Start()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	select {
-	case <-ctx.Done():
+	err = hs.Serve("nsserve", *drain, func() {
 		fmt.Fprintln(os.Stderr, "nsserve: shutting down, draining in-flight work...")
 		if announcer != nil {
 			// Leave the cluster before readiness flips: the router stops
@@ -153,17 +142,10 @@ func main() {
 			// upstream health checkers to route around this replica.
 			time.Sleep(*drainGrace)
 		}
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := hs.Shutdown(dctx); err != nil {
-			fmt.Fprintln(os.Stderr, "nsserve: drain incomplete:", err)
-		}
-		srv.Close()
-	case err := <-errc:
-		srv.Close()
-		if err != http.ErrServerClosed {
-			fatal(err)
-		}
+	})
+	srv.Close()
+	if err != nil {
+		fatal(err)
 	}
 }
 

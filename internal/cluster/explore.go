@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/neurosym/nsbench/internal/dse"
+	"github.com/neurosym/nsbench/internal/httpx"
 	"github.com/neurosym/nsbench/internal/hwsim"
 	"github.com/neurosym/nsbench/internal/serve"
 )
@@ -32,11 +33,11 @@ import (
 // to the front a single replica would compute over the whole grid, and
 // byte-identical to it because point evaluation is deterministic.
 func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
+	if !httpx.AllowMethods(w, r, http.MethodPost) {
 		return
 	}
 	var req serve.ExploreRequest
-	if !serve.DecodeBody(w, r, &req, "bad request body") {
+	if !httpx.DecodeBody(w, r, &req, "bad request body") {
 		return
 	}
 	if req.ShardCount != 0 || req.ShardIndex != 0 {
@@ -85,7 +86,7 @@ func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 		Shards:     shards,
 	}})
 
-	id := requestID(r)
+	id := httpx.RequestID(r)
 	start := time.Now()
 	summaries := make([]*dse.Summary, shards)
 	errs := make([]error, shards)
@@ -263,7 +264,7 @@ func (rt *Router) streamShardFrom(ctx context.Context, node string, body []byte,
 
 	var summary *dse.Summary
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), maxBodyBytes)
+	sc.Buffer(make([]byte, 64*1024), httpx.MaxBodyBytes)
 	for sc.Scan() {
 		line := sc.Bytes()
 		var c dse.Chunk

@@ -1,11 +1,10 @@
 package cluster
 
 import (
-	"encoding/json"
 	"net/http"
 
+	"github.com/neurosym/nsbench/internal/httpx"
 	"github.com/neurosym/nsbench/internal/membership"
-	"github.com/neurosym/nsbench/internal/serve"
 )
 
 // Dynamic membership endpoints. A replica POSTs /v1/cluster/join on
@@ -50,7 +49,7 @@ type membersResponse struct {
 // decodeAnnouncement parses and canonicalizes one join/leave body.
 func decodeAnnouncement(w http.ResponseWriter, r *http.Request) (string, bool) {
 	var ann membership.Announcement
-	if !serve.DecodeBody(w, r, &ann, "bad announcement") {
+	if !httpx.DecodeBody(w, r, &ann, "bad announcement") {
 		return "", false
 	}
 	node, err := membership.NormalizeNode(ann.URL)
@@ -72,7 +71,7 @@ func (rt *Router) membershipEnabled(w http.ResponseWriter) bool {
 
 // handleClusterJoin registers a replica or refreshes its heartbeat.
 func (rt *Router) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
+	if !httpx.AllowMethods(w, r, http.MethodPost) {
 		return
 	}
 	if !rt.membershipEnabled(w) {
@@ -83,12 +82,12 @@ func (rt *Router) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	added := rt.member.Join(node)
-	writeClusterJSON(w, joinResponse{Node: node, Changed: added, Members: rt.member.Len()})
+	httpx.WriteJSON(w, joinResponse{Node: node, Changed: added, Members: rt.member.Len()})
 }
 
 // handleClusterLeave withdraws a replica immediately (graceful drain).
 func (rt *Router) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
+	if !httpx.AllowMethods(w, r, http.MethodPost) {
 		return
 	}
 	if !rt.membershipEnabled(w) {
@@ -99,13 +98,13 @@ func (rt *Router) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	removed := rt.member.Leave(node, membership.ReasonLeave)
-	writeClusterJSON(w, joinResponse{Node: node, Changed: removed, Members: rt.member.Len()})
+	httpx.WriteJSON(w, joinResponse{Node: node, Changed: removed, Members: rt.member.Len()})
 }
 
 // handleClusterMembers lists the membership table with each node's
 // routing state and load signals, plus the recent-departure ledger.
 func (rt *Router) handleClusterMembers(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if !httpx.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
 	joins, leaves := rt.member.Counts()
@@ -130,16 +129,5 @@ func (rt *Router) handleClusterMembers(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Members = append(out.Members, mv)
 	}
-	writeClusterJSON(w, out)
-}
-
-// writeClusterJSON marshals v as the response body.
-func writeClusterJSON(w http.ResponseWriter, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
+	httpx.WriteJSON(w, out)
 }

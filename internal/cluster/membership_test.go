@@ -201,3 +201,30 @@ func TestStatsToleratesMidFanoutDeparture(t *testing.T) {
 		t.Fatalf("surviving replica missing from stats rows:\n%s", body)
 	}
 }
+
+// TestStaticReplicasNormalizeLikeJoins: a static -replicas entry and a
+// join that spell one replica differently (case, trailing slash) must
+// give one member and one ring node, and a malformed static entry fails
+// New.
+func TestStaticReplicasNormalizeLikeJoins(t *testing.T) {
+	replica := stubReplica(t, func(w http.ResponseWriter, r *http.Request) {})
+	port := replica.URL[strings.LastIndex(replica.URL, ":")+1:]
+	rt := newTestRouter(t, Config{
+		Replicas:   []string{"http://LOCALHOST:" + port + "/"},
+		Membership: membership.Config{Enabled: true},
+		Health:     fastHealth(),
+	})
+	if rec := postCluster(rt.Handler(), "/v1/cluster/join", "http://localhost:"+port); rec.Code != http.StatusOK {
+		t.Fatalf("join: %d %s", rec.Code, rec.Body)
+	}
+	if n := rt.member.Len(); n != 1 {
+		t.Fatalf("members = %d, want 1", n)
+	}
+	if n := rt.ring.Len(); n != 1 {
+		t.Fatalf("ring nodes = %d, want 1", n)
+	}
+
+	if _, err := New(Config{Replicas: []string{"replica:8080"}}); err == nil {
+		t.Fatal("New accepted a static replica without a scheme")
+	}
+}

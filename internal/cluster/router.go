@@ -36,8 +36,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,24 +47,24 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/neurosym/nsbench/internal/httpx"
 	"github.com/neurosym/nsbench/internal/membership"
 	"github.com/neurosym/nsbench/internal/metrics"
 	"github.com/neurosym/nsbench/internal/serve"
-	"github.com/neurosym/nsbench/internal/slo"
 	"github.com/neurosym/nsbench/internal/trace"
 )
 
 // Config parameterizes a Router.
 type Config struct {
 	// Replicas are the nsserve base URLs fronted by the router (e.g.
-	// "http://10.0.0.1:8080"), seeded as permanent cluster members;
-	// trailing slashes are stripped. May be empty when Membership.Enabled
-	// — replicas then join at runtime.
+	// "http://10.0.0.1:8080"), seeded as permanent cluster members and
+	// normalized like joined ones (membership.NormalizeNode); a malformed
+	// entry fails New. May be empty when Membership.Enabled — replicas
+	// then join at runtime.
 	Replicas []string
 	// Membership parameterizes dynamic join/leave (POST /v1/cluster/join
 	// heartbeats, TTL expiry). Disabled by default: the cluster is then
@@ -117,19 +115,6 @@ type Config struct {
 	// NodeName identifies the router process in stitched traces (its pid
 	// label). Empty selects "nsrouter-<hostname>-<pid>".
 	NodeName string
-	// SLO parameterizes burn-rate windows and the budget period; the zero
-	// value selects the slo package defaults.
-	SLO slo.Config
-	// SLOAvailabilityTarget is the non-5xx success-ratio objective over
-	// all routed responses; 0 selects 0.999.
-	SLOAvailabilityTarget float64
-	// SLOLatencyTarget is the fraction of routed /v1/characterize
-	// responses that must finish within SLOLatencyThreshold; 0 selects
-	// 0.95.
-	SLOLatencyTarget float64
-	// SLOLatencyThreshold is the routed latency objective's cutoff; 0
-	// selects 500ms (the replica-side default plus routing overhead).
-	SLOLatencyThreshold time.Duration
 }
 
 func (c *Config) defaults() {
@@ -165,16 +150,11 @@ func (c *Config) defaults() {
 		c.NodeName = fmt.Sprintf("nsrouter-%s-%d", host, os.Getpid())
 	}
 	c.Health.defaults()
-	if c.SLOAvailabilityTarget == 0 {
-		c.SLOAvailabilityTarget = 0.999
-	}
-	if c.SLOLatencyTarget == 0 {
-		c.SLOLatencyTarget = 0.95
-	}
-	if c.SLOLatencyThreshold == 0 {
-		c.SLOLatencyThreshold = 500 * time.Millisecond
-	}
 }
+
+// sloLatencyThreshold is the router's characterize_latency cutoff: the
+// replica's 250ms plus routing overhead.
+const sloLatencyThreshold = 500 * time.Millisecond
 
 // Router shards requests across nsserve replicas. Construct with New,
 // expose via Handler, Close when done.
@@ -191,10 +171,9 @@ type Router struct {
 	inflight sync.Map
 
 	reg          *metrics.Registry
-	httpReqs     *metrics.CounterVec   // nsrouter_http_requests_total{endpoint,code}
-	httpLat      *metrics.HistogramVec // nsrouter_http_request_seconds{endpoint}
-	nodeReqs     *metrics.CounterVec   // nsrouter_node_requests_total{node,code}
-	nodeErrs     *metrics.CounterVec   // nsrouter_node_errors_total{node}
+	tier         *httpx.Tier         // request metrics and IDs, SLOs, probe endpoints
+	nodeReqs     *metrics.CounterVec // nsrouter_node_requests_total{node,code}
+	nodeErrs     *metrics.CounterVec // nsrouter_node_errors_total{node}
 	retries      *metrics.Counter
 	hedgeFired   *metrics.Counter
 	hedgeWon     *metrics.Counter
@@ -210,17 +189,9 @@ type Router struct {
 	// request ID — the router's slice of a stitched cross-process trace.
 	// nil when Config.RecorderSize is negative.
 	recorder *trace.Recorder
-	// slos tracks the routed availability and latency objectives;
-	// sloGood/sloTotal are the availability feed counted in instrument.
-	slos     *slo.Set
-	sloGood  metrics.Counter
-	sloTotal metrics.Counter
 
 	exploreSweeps *metrics.Counter // ns_explore_sweeps_total (router-level fan-outs)
 	exploreShards *metrics.Counter // ns_explore_shards_total (shard streams completed)
-
-	reqNonce string
-	reqSeq   atomic.Uint64
 
 	closeOnce sync.Once
 }
@@ -230,6 +201,16 @@ type Router struct {
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 && !cfg.Membership.Enabled {
 		return nil, errors.New("cluster: at least one replica required (or enable dynamic membership)")
+	}
+	// Static replicas take the spelling joins get, so one replica is one
+	// member and one ring node however either side wrote its URL.
+	nodes := make([]string, len(cfg.Replicas))
+	for i, rep := range cfg.Replicas {
+		node, err := membership.NormalizeNode(rep)
+		if err != nil {
+			return nil, err
+		}
+		nodes[i] = node
 	}
 	cfg.defaults()
 	reg := cfg.Metrics
@@ -242,10 +223,6 @@ func New(cfg Config) (*Router, error) {
 		client: &http.Client{}, // per-attempt deadlines come from contexts
 		logger: cfg.Logger,
 		reg:    reg,
-		httpReqs: reg.CounterVec("nsrouter_http_requests_total",
-			"Routed HTTP requests by endpoint and status code.", "endpoint", "code"),
-		httpLat: reg.HistogramVec("nsrouter_http_request_seconds",
-			"Routing latency by endpoint, upstream time included.", metrics.LatencyBuckets(), "endpoint"),
 		nodeReqs: reg.CounterVec("nsrouter_node_requests_total",
 			"Upstream responses by replica and status code.", "node", "code"),
 		nodeErrs: reg.CounterVec("nsrouter_node_errors_total",
@@ -274,15 +251,29 @@ func New(cfg Config) (*Router, error) {
 			"Design-space sweeps fanned out across the cluster."),
 		exploreShards: reg.Counter("ns_explore_shards_total",
 			"Sweep shard streams completed by replicas."),
-		reqNonce: newNonce(),
 	}
+	tier, err := httpx.New(reg, httpx.Config{
+		Prefix:           "nsrouter_",
+		IDPrefix:         "nsr-",
+		Routed:           true,
+		LatencyThreshold: sloLatencyThreshold,
+		NotReady: func() string {
+			if rt.ring.Len() == 0 {
+				return "no live replicas"
+			}
+			return ""
+		},
+		Logger: cfg.Logger,
+	})
+	if err != nil {
+		return nil, err
+	}
+	rt.tier = tier
 	if cfg.RecorderSize > 0 {
 		rt.recorder = trace.NewRecorder(cfg.RecorderSize)
 	}
-	nodes := make([]string, len(cfg.Replicas))
-	for i, rep := range cfg.Replicas {
-		nodes[i] = strings.TrimRight(rep, "/")
-		rt.ring.Add(nodes[i])
+	for _, node := range nodes {
+		rt.ring.Add(node)
 	}
 	rt.health = NewChecker(cfg.Health, nodes, nil,
 		func(node string) {
@@ -336,26 +327,6 @@ func New(cfg Config) (*Router, error) {
 		func() float64 { return float64(rt.member.Len()) })
 	metrics.NewGoCollector(reg)
 	metrics.RegisterBuildInfo(reg)
-	rt.slos = slo.NewSet(cfg.SLO)
-	if err := rt.slos.Add(slo.Objective{
-		Name:        "availability",
-		Description: "Non-5xx responses across all routed endpoints (health/readiness probes excluded).",
-		Target:      cfg.SLOAvailabilityTarget,
-		Source:      slo.FromCounters(rt.sloGood.Value, rt.sloTotal.Value),
-	}); err != nil {
-		return nil, err
-	}
-	if err := rt.slos.Add(slo.Objective{
-		Name: "characterize_latency",
-		Description: fmt.Sprintf("Routed /v1/characterize responses within %s (histogram-bucket resolution).",
-			cfg.SLOLatencyThreshold),
-		Target: cfg.SLOLatencyTarget,
-		Source: slo.FromHistogram(rt.httpLat.With("/v1/characterize"), cfg.SLOLatencyThreshold.Seconds()),
-	}); err != nil {
-		return nil, err
-	}
-	rt.slos.Register(reg)
-	rt.slos.Start()
 	rt.health.Start()
 	if cfg.Membership.Enabled {
 		rt.member.Start()
@@ -396,7 +367,7 @@ func (rt *Router) Close() {
 	rt.closeOnce.Do(func() {
 		rt.member.Close()
 		rt.health.Close()
-		rt.slos.Close()
+		rt.tier.Close()
 		rt.client.CloseIdleConnections()
 	})
 }
@@ -404,115 +375,17 @@ func (rt *Router) Close() {
 // Handler returns the router's route table, mirroring the replica API so
 // clients point at the router unchanged.
 func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/characterize", rt.instrument("/v1/characterize", rt.handleCharacterize))
-	mux.HandleFunc("/v1/explore", rt.instrument("/v1/explore", rt.handleExplore))
-	mux.HandleFunc("/v1/workloads", rt.instrument("/v1/workloads", rt.handleWorkloads))
-	mux.HandleFunc("/v1/trace", rt.instrument("/v1/trace", rt.handleTrace))
-	mux.HandleFunc("/v1/stats", rt.instrument("/v1/stats", rt.handleStats))
-	mux.HandleFunc("/v1/slo", rt.instrument("/v1/slo", rt.handleSLO))
-	mux.HandleFunc("/v1/cluster/join", rt.instrument("/v1/cluster/join", rt.handleClusterJoin))
-	mux.HandleFunc("/v1/cluster/leave", rt.instrument("/v1/cluster/leave", rt.handleClusterLeave))
-	mux.HandleFunc("/v1/cluster/members", rt.instrument("/v1/cluster/members", rt.handleClusterMembers))
-	mux.HandleFunc("/metrics", rt.instrument("/metrics", rt.handleMetrics))
-	mux.HandleFunc("/healthz", rt.instrument("/healthz", rt.handleHealthz))
-	mux.HandleFunc("/readyz", rt.instrument("/readyz", rt.handleReadyz))
+	mux := rt.tier.Mux()
+	rt.tier.Handle(mux, "/v1/characterize", rt.handleCharacterize)
+	rt.tier.Handle(mux, "/v1/explore", rt.handleExplore)
+	rt.tier.Handle(mux, "/v1/workloads", rt.handleWorkloads)
+	rt.tier.Handle(mux, "/v1/trace", rt.handleTrace)
+	rt.tier.Handle(mux, "/v1/stats", rt.handleStats)
+	rt.tier.Handle(mux, "/v1/cluster/join", rt.handleClusterJoin)
+	rt.tier.Handle(mux, "/v1/cluster/leave", rt.handleClusterLeave)
+	rt.tier.Handle(mux, "/v1/cluster/members", rt.handleClusterMembers)
 	return mux
 }
-
-// newNonce returns a short random hex tag for request-ID generation.
-func newNonce() string {
-	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "static"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-type ctxKey int
-
-const ctxKeyRequestID ctxKey = iota
-
-// requestID returns the ID instrument assigned to (or accepted from) r.
-func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(ctxKeyRequestID).(string)
-	return id
-}
-
-// instrument wraps h with per-endpoint request/latency metrics and
-// request-ID handling: an inbound X-Request-ID is kept (and forwarded to
-// the replica that serves the request, landing in its flight recorder),
-// otherwise one is minted here — either way the ID is echoed on the
-// response and ties the router's log line to the replica's.
-func (rt *Router) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	lat := rt.httpLat.With(endpoint)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		id := r.Header.Get("X-Request-ID")
-		if id == "" {
-			id = fmt.Sprintf("nsr-%s-%d", rt.reqNonce, rt.reqSeq.Add(1))
-		}
-		w.Header().Set("X-Request-ID", id)
-		r = r.WithContext(context.WithValue(r.Context(), ctxKeyRequestID, id))
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		dur := time.Since(start)
-		lat.ObserveSeconds(dur.Nanoseconds())
-		rt.httpReqs.With(endpoint, strconv.Itoa(sw.code)).Inc()
-		// Availability SLO feed: every routed response counts, 5xx bad —
-		// except the probe endpoints: /readyz answers 503 by design while
-		// the ring is empty (startup, every replica ejected), and that
-		// honest "not ready" must not burn the availability budget.
-		if endpoint != "/healthz" && endpoint != "/readyz" {
-			rt.sloTotal.Inc()
-			if sw.code < 500 {
-				rt.sloGood.Inc()
-			}
-		}
-		if rt.logger != nil {
-			rt.logger.Info("route",
-				"method", r.Method, "path", r.URL.Path,
-				"status", sw.code, "dur", dur, "id", id)
-		}
-	}
-}
-
-// statusWriter captures the response status for the request counter.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the underlying writer so the fanned-out /v1/explore
-// stream reaches the client incrementally through the instrumentation.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// allowMethods gates r to the listed methods (405 + Allow otherwise).
-func allowMethods(w http.ResponseWriter, r *http.Request, methods ...string) bool {
-	for _, m := range methods {
-		if r.Method == m {
-			return true
-		}
-	}
-	w.Header().Set("Allow", strings.Join(methods, ", "))
-	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	return false
-}
-
-// maxBodyBytes bounds upstream bodies, at the limit serve.DecodeBody
-// puts on request bodies. Reports are tens of kilobytes; a megabyte of
-// headroom keeps the copy loops bounded without ever truncating a
-// legitimate payload.
-const maxBodyBytes = serve.MaxBodyBytes
 
 // upstream is one replica response, fully buffered so it can be replayed
 // to the client after the retry/hedge race settles.
@@ -580,7 +453,12 @@ func (rt *Router) attempt(ctx context.Context, node, method, path string, body [
 		return nil, fmt.Errorf("%s: %w", node, err)
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	// Read one byte past the bound: a longer body is a failed read, not a
+	// truncated one relayed as if it were whole.
+	b, err := io.ReadAll(io.LimitReader(resp.Body, httpx.MaxBodyBytes+1))
+	if err == nil && len(b) > httpx.MaxBodyBytes {
+		err = fmt.Errorf("body exceeds %d bytes", httpx.MaxBodyBytes)
+	}
 	if err != nil {
 		if ctx.Err() == context.Canceled {
 			rt.recordRouterSpanLane(id, "proxy("+node+") canceled", lane, start)
@@ -876,16 +754,16 @@ func retryAfterSeconds(d time.Duration) string {
 // (and hedging when enabled). The canonical form is what gets forwarded,
 // so replicas parse one spelling per key no matter what clients sent.
 func (rt *Router) handleCharacterize(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodPost) {
+	if !httpx.AllowMethods(w, r, http.MethodPost) {
 		return
 	}
 	// Root span: the routed request's full extent — every per-hop span
 	// (proxy attempts, backoffs) nests inside it on the stitched timeline.
 	routeStart := time.Now()
-	id := requestID(r)
+	id := httpx.RequestID(r)
 	defer func() { rt.recordRouterSpan(id, "route.characterize", routeStart) }()
 	var req serve.Request
-	if !serve.DecodeBody(w, r, &req, "bad request body") {
+	if !httpx.DecodeBody(w, r, &req, "bad request body") {
 		return
 	}
 	canon, key, err := serve.Canonicalize(req)
@@ -898,7 +776,7 @@ func (rt *Router) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	up, err := rt.forward(r.Context(), key, http.MethodPost, "/v1/characterize", body, requestID(r), true)
+	up, err := rt.forward(r.Context(), key, http.MethodPost, "/v1/characterize", body, httpx.RequestID(r), true)
 	if err != nil {
 		rt.routeError(w, r, err)
 		return
@@ -953,7 +831,7 @@ func (rt *Router) fill(node string, canon serve.Request, report []byte, id strin
 	if err != nil {
 		outcome = "error"
 	} else {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
+		io.Copy(io.Discard, io.LimitReader(resp.Body, httpx.MaxBodyBytes))
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNoContent {
 			outcome = "rejected"
@@ -965,27 +843,12 @@ func (rt *Router) fill(node string, canon serve.Request, report []byte, id strin
 	rt.recordRouterSpanLane(id, "fill("+node+") "+outcome, 2, start)
 }
 
-// handleSLO reports the router's objectives: error budgets, windowed
-// burn rates, and alert state.
-func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
-		return
-	}
-	b, err := json.Marshal(rt.slos.Report())
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
-}
-
 // handleTrace routes the debug timeline endpoint by the same canonical
 // key as characterize, so the replica that owns (and has cached) a key
 // also serves its traces. With request_id= it instead assembles the
 // stitched cross-process view of one past request (see trace.go).
 func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if !httpx.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
 	q := r.URL.Query()
@@ -1002,7 +865,7 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.URL.RawQuery != "" {
 		path += "?" + r.URL.RawQuery
 	}
-	up, err := rt.forward(r.Context(), key, http.MethodGet, path, nil, requestID(r), false)
+	up, err := rt.forward(r.Context(), key, http.MethodGet, path, nil, httpx.RequestID(r), false)
 	if err != nil {
 		rt.routeError(w, r, err)
 		return
@@ -1014,59 +877,13 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 // listing is identical everywhere; a fixed routing key just keeps it on
 // one node's workloadsOnce path).
 func (rt *Router) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if !httpx.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
-	up, err := rt.forward(r.Context(), "\x00workloads", http.MethodGet, "/v1/workloads", nil, requestID(r), false)
+	up, err := rt.forward(r.Context(), "\x00workloads", http.MethodGet, "/v1/workloads", nil, httpx.RequestID(r), false)
 	if err != nil {
 		rt.routeError(w, r, err)
 		return
 	}
 	writeUpstream(w, up)
-}
-
-// handleMetrics exposes the router's own registry (replica metrics are
-// scraped from the replicas; aggregating text expositions would lose
-// label identity).
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodHead) {
-		return
-	}
-	w.Header().Set("Content-Type", metrics.PromContentType)
-	if r.Method == http.MethodHead {
-		return
-	}
-	rt.reg.WriteProm(w)
-}
-
-// handleHealthz is the router's liveness probe.
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodHead) {
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		fmt.Fprintln(w, "ok")
-	}
-}
-
-// handleReadyz reports readiness: the router can serve only while at
-// least one replica is live in the ring.
-func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet, http.MethodHead) {
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if rt.ring.Len() == 0 {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		if r.Method != http.MethodHead {
-			fmt.Fprintln(w, "no live replicas")
-		}
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		fmt.Fprintln(w, "ready")
-	}
 }

@@ -199,7 +199,7 @@ func TestRouterClientCancelAnswers499(t *testing.T) {
 	if rec.Code != statusClientClosedRequest {
 		t.Fatalf("client-canceled route answered %d, want 499", rec.Code)
 	}
-	if good, total := rt.sloGood.Value(), rt.sloTotal.Value(); good != total {
+	if good, total := rt.tier.SLOGood.Value(), rt.tier.SLOTotal.Value(); good != total {
 		t.Fatalf("availability feed good/total = %d/%d after a client cancel, want equal", good, total)
 	}
 }
@@ -234,6 +234,44 @@ func TestRouterOversizeBodiesAnswer413(t *testing.T) {
 	if n := hits.Load(); n != 0 {
 		t.Fatalf("oversize requests reached a replica %d times", n)
 	}
+}
+
+// TestRouterRejectsOversizeReplicaBody: a replica answering more than
+// maxBodyBytes must count as a failed attempt — node error, failover — and
+// never be relayed as a truncated 2xx. With a healthy second replica the
+// client gets its report; with none, a 502.
+func TestRouterRejectsOversizeReplicaBody(t *testing.T) {
+	huge := `{"report":"` + strings.Repeat("x", 2<<20) + `"}`
+	big := stubReplica(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, huge)
+	})
+	good := stubReplica(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"ok":true}`)
+	})
+
+	t.Run("fails over", func(t *testing.T) {
+		rt := newTestRouter(t, Config{Replicas: []string{big.URL, good.URL}, Health: fastHealth(), RetryBaseDelay: time.Millisecond})
+		body, _ := keyOwnedBy(t, rt, big.URL)
+		rec := routerPost(rt.Handler(), body)
+		if rec.Code != http.StatusOK || rec.Body.String() != `{"ok":true}` {
+			t.Fatalf("got %d %.80s, want the healthy replica's 200", rec.Code, rec.Body)
+		}
+		if n := rt.nodeErrs.With(big.URL).Value(); n != 1 {
+			t.Fatalf("oversize replica errors = %d, want 1", n)
+		}
+	})
+	t.Run("no healthy replica", func(t *testing.T) {
+		rt := newTestRouter(t, Config{Replicas: []string{big.URL}, Health: fastHealth()})
+		rec := routerPost(rt.Handler(), `{"workload":"LNN"}`)
+		if rec.Code != http.StatusBadGateway {
+			t.Fatalf("got %d, want 502", rec.Code)
+		}
+		if strings.Contains(rec.Body.String(), `{"report":"xxx`) {
+			t.Fatal("router relayed part of the oversize replica body")
+		}
+	})
 }
 
 func TestRouterPropagatesBadRequestWithoutForwarding(t *testing.T) {

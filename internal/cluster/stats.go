@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/neurosym/nsbench/internal/httpx"
 	"github.com/neurosym/nsbench/internal/serve"
 )
 
@@ -56,7 +57,7 @@ func (rt *Router) aggregate(r *http.Request) ClusterStats {
 		go func(i int, node string) {
 			defer wg.Done()
 			ns := NodeStats{Node: node}
-			up, err := rt.attempt(r.Context(), node, http.MethodGet, "/v1/stats", nil, requestID(r), 0)
+			up, err := rt.attempt(r.Context(), node, http.MethodGet, "/v1/stats", nil, httpx.RequestID(r), 0)
 			switch {
 			case err != nil:
 				ns.Err = err.Error()
@@ -115,14 +116,8 @@ func (rt *Router) aggregate(r *http.Request) ClusterStats {
 
 // handleStats serves the aggregated cluster counters.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !allowMethods(w, r, http.MethodGet) {
+	if !httpx.AllowMethods(w, r, http.MethodGet) {
 		return
 	}
-	b, err := json.Marshal(rt.aggregate(r))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
+	httpx.WriteJSON(w, rt.aggregate(r))
 }

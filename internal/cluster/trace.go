@@ -6,6 +6,7 @@ import (
 	"net/url"
 	"sync"
 
+	"github.com/neurosym/nsbench/internal/httpx"
 	"github.com/neurosym/nsbench/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func (rt *Router) collectRequestTraces(r *http.Request, id string) []trace.Reque
 		go func(i int, node string) {
 			defer wg.Done()
 			path := "/v1/trace?request_id=" + url.QueryEscape(id)
-			up, err := rt.attempt(r.Context(), node, http.MethodGet, path, nil, requestID(r), 0)
+			up, err := rt.attempt(r.Context(), node, http.MethodGet, path, nil, httpx.RequestID(r), 0)
 			if err != nil || up.code != http.StatusOK {
 				return
 			}
@@ -82,16 +83,11 @@ func (rt *Router) handleStitchedTrace(w http.ResponseWriter, r *http.Request, id
 		http.Error(w, "no recorded spans for request_id "+id, http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	if format == "json" {
-		b, err := json.Marshal(procs)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Write(b)
+		httpx.WriteJSON(w, procs)
 		return
 	}
+	w.Header().Set("Content-Type", "application/json")
 	if err := trace.WriteStitchedChrome(w, procs); err != nil && rt.logger != nil {
 		rt.logger.Error("stitched trace write failed", "id", id, "err", err)
 	}

@@ -152,7 +152,9 @@ func NormalizeNode(raw string) (string, error) {
 	if u.Path != "" && u.Path != "/" {
 		return "", fmt.Errorf("membership: node URL %q must not carry a path", raw)
 	}
-	return strings.ToLower(u.Scheme) + "://" + strings.ToLower(u.Host), nil
+	// url.URL.String re-escapes the host: Parse unescapes an IPv6 zone
+	// ("%25eth0" → "%eth0"), and the bare form would not parse again.
+	return (&url.URL{Scheme: strings.ToLower(u.Scheme), Host: strings.ToLower(u.Host)}).String(), nil
 }
 
 // SeedStatic registers the router's statically configured replicas as
